@@ -1,73 +1,42 @@
 #include "stream/gutters.h"
 
-#include <algorithm>
-#include <utility>
+#include <array>
+#include <bit>
 
 #include "util/check.h"
 
 namespace gms {
 
-BatchQueue::BatchQueue(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void BatchQueue::Push(GutterBatch&& batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [&] { return queue_.size() < capacity_ || closed_; });
-  GMS_CHECK_MSG(!closed_, "BatchQueue: push after close");
-  queue_.push_back(std::move(batch));
-  not_empty_.notify_one();
-}
-
-bool BatchQueue::Pop(GutterBatch* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [&] { return !queue_.empty() || closed_; });
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  not_full_.notify_one();
-  return true;
-}
-
-void BatchQueue::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  not_empty_.notify_all();
-  not_full_.notify_all();
-}
-
-Gutters::Gutters(size_t n, size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), buffers_(n) {}
-
-void Gutters::Append(VertexId v, const VertexUpdate& entry,
-                     const FlushFn& flush) {
-  std::vector<VertexUpdate>& buf = buffers_[v];
-  if (buf.empty()) {
-    if (buf.capacity() == 0) buf.reserve(capacity_);
-    // A gutter that auto-flushed and refilled within the epoch lands on
-    // the touched list twice; FlushEpoch dedups after sorting.
-    touched_.push_back(v);
+void GutterStage::Seal(size_t n) {
+  // The key packs the update ordinal into 31 bits below the vertex.
+  GMS_CHECK_MSG(updates_.size() <= (uint64_t{1} << 31),
+                "GutterStage: too many updates in one epoch");
+  if (n <= 1 || keys_.size() <= 1) return;
+  // LSD radix on the vertex bits only, at most 11 bits (a 2048-bucket
+  // histogram that stays in L1) per pass; each pass is stable, so entries
+  // of one vertex keep their staging (= stream) order.
+  constexpr int kMaxDigitBits = 11;
+  const int bits = std::bit_width(n - 1);
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int width = (bits + passes - 1) / passes;
+  const uint64_t mask = (uint64_t{1} << width) - 1;
+  std::array<size_t, size_t{1} << kMaxDigitBits> count;
+  sort_scratch_.resize(keys_.size());
+  for (int p = 0; p < passes; ++p) {
+    const int shift = 32 + p * width;
+    std::fill(count.begin(), count.begin() + (mask + 1), 0);
+    for (const uint64_t key : keys_) ++count[(key >> shift) & mask];
+    size_t sum = 0;
+    for (size_t b = 0; b <= mask; ++b) {
+      const size_t c = count[b];
+      count[b] = sum;
+      sum += c;
+    }
+    for (const uint64_t key : keys_) {
+      sort_scratch_[count[(key >> shift) & mask]++] = key;
+    }
+    keys_.swap(sort_scratch_);
   }
-  buf.push_back(entry);
-  if (buf.size() >= capacity_) {
-    std::vector<VertexUpdate> full;
-    full.reserve(capacity_);
-    std::swap(buf, full);
-    flush(v, std::move(full));
-  }
-}
-
-void Gutters::FlushEpoch(const FlushFn& flush) {
-  std::sort(touched_.begin(), touched_.end());
-  for (size_t i = 0; i < touched_.size(); ++i) {
-    const VertexId v = touched_[i];
-    if (i > 0 && touched_[i - 1] == v) continue;
-    std::vector<VertexUpdate>& buf = buffers_[v];
-    if (buf.empty()) continue;  // auto-flushed, never refilled
-    std::vector<VertexUpdate> out(std::move(buf));
-    buf.clear();
-    flush(v, std::move(out));
-  }
-  touched_.clear();
 }
 
 }  // namespace gms

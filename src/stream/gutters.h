@@ -8,23 +8,20 @@
 // count because every worker is latency-bound on the same DRAM. Because
 // every sketch here is LINEAR, updates destined for the same vertex can be
 // coalesced and applied in any order: a reader prepares each update once
-// (codec rank, key fold, exponent reduction) and appends one compact
-// VertexUpdate per endpoint into that endpoint's gutter; a full gutter
-// travels to the applier that owns the vertex, which replays the whole
-// batch over the vertex's contiguous sketch block while it is cache
-// resident.
+// (codec rank, key fold, exponent reduction), stages one entry per
+// endpoint, and groups a whole epoch of entries by destination vertex; the
+// applier that owns a vertex then replays that vertex's entries as
+// batches over its contiguous sketch block while it is cache resident.
 //
-// This header owns the passive pieces -- the per-endpoint entry type, the
-// per-vertex buffers, and the bounded reader->applier queue. The driver
-// loop that wires them to a sketch is stream/stream_driver.h.
+// This header owns the passive pieces -- the per-endpoint entry type and
+// the epoch staging buffer. The driver loop that wires them to a sketch is
+// stream/stream_driver.h; IngestPlane::Process uses the stage inline.
 #ifndef GMS_STREAM_GUTTERS_H_
 #define GMS_STREAM_GUTTERS_H_
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/edge.h"
@@ -53,68 +50,88 @@ struct VertexUpdate {
   int64_t coeff = 0;
 };
 
-/// A flushed gutter: every buffered entry targets the same vertex.
-struct GutterBatch {
-  VertexId vertex = 0;
-  std::vector<VertexUpdate> entries;
-};
-
-/// Bounded MPSC queue of full gutters feeding one applier. Push blocks
-/// while the queue is at capacity (backpressure keeps reader memory
-/// bounded); Pop blocks until a batch arrives or every producer is done.
-/// Plain mutex + condvars: the driver amortizes the synchronization over
-/// whole batches, so this is never the hot path.
-class BatchQueue {
+/// One epoch of staged updates, grouped by destination vertex: every
+/// vertex's gutter for the epoch as one contiguous run of a sorted key
+/// array. Each update is stored ONCE (prepared coordinate, route, delta,
+/// rank); each endpoint adds an 8-byte key (vertex << 32 | update << 1 |
+/// is-head). Seal() is a stable LSD radix sort of the keys on the vertex
+/// bits, so a vertex's run lists its entries in stream order -- the order
+/// the serial path applies them in. Buffers are reused across epochs:
+/// staging allocates nothing per vertex, and nothing at all once the
+/// buffers have grown to the epoch's size.
+class GutterStage {
  public:
-  explicit BatchQueue(size_t capacity);
+  /// Drop every staged update and make room for `updates` more of rank
+  /// at most `max_rank` without reallocating mid-epoch. Capacity is kept
+  /// across calls.
+  void Clear(size_t updates, size_t max_rank) {
+    updates_.clear();
+    keys_.clear();
+    updates_.reserve(updates);
+    keys_.reserve(updates * max_rank);
+  }
 
-  /// Enqueue, blocking while full. Must not be called after Close().
-  void Push(GutterBatch&& batch);
+  /// Stage one prepared, routed update: one entry per endpoint of `e`.
+  void Add(const Hyperedge& e, const PreparedCoord& pc, uint64_t route,
+           int delta) {
+    const uint64_t id = updates_.size();
+    updates_.push_back(Staged{pc, route, delta,
+                              static_cast<int32_t>(e.size()) - 1});
+    for (size_t pos = 0; pos < e.size(); ++pos) {
+      // Section 4.1 incidence coefficients; the edge is sorted, so the
+      // minimum endpoint is position 0.
+      keys_.push_back(uint64_t{e[pos]} << 32 | id << 1 |
+                      (pos == 0 ? 1u : 0u));
+    }
+  }
 
-  /// Dequeue into *out; blocks while empty. Returns false once the queue
-  /// is closed AND drained (the applier's exit condition).
-  bool Pop(GutterBatch* out);
+  /// Staged endpoint entries.
+  size_t entries() const { return keys_.size(); }
 
-  /// Producers are done: wake every waiter; Pop drains the remainder.
-  void Close();
+  /// Group the staged entries by vertex (all endpoints lie in [0, n)).
+  /// Must precede ForEachBatch; Add after Seal needs a Clear first.
+  void Seal(size_t n);
+
+  /// Hand every vertex in [begin, end) its entries, in increasing vertex
+  /// order, as batches of at most `cap` (>= 1) entries gathered into
+  /// *scratch: fn(v, span) once per batch. Returns the batch count. Safe
+  /// to call concurrently on one sealed stage (the stage is only read).
+  template <typename Fn>
+  uint64_t ForEachBatch(uint64_t begin, uint64_t end, size_t cap,
+                        std::vector<VertexUpdate>* scratch, Fn&& fn) const {
+    uint64_t batches = 0;
+    auto it = std::partition_point(
+        keys_.begin(), keys_.end(),
+        [begin](uint64_t key) { return (key >> 32) < begin; });
+    while (it != keys_.end() && (*it >> 32) < end) {
+      const VertexId v = static_cast<VertexId>(*it >> 32);
+      scratch->clear();
+      while (it != keys_.end() && (*it >> 32) == v &&
+             scratch->size() < cap) {
+        const Staged& s = updates_[(*it & 0xffffffffu) >> 1];
+        const int64_t coeff = (*it & 1) != 0
+                                  ? int64_t{s.head} * s.delta
+                                  : -int64_t{s.delta};
+        scratch->push_back(VertexUpdate{s.pc, s.route, coeff});
+        ++it;
+      }
+      ++batches;
+      fn(v, std::span<const VertexUpdate>(*scratch));
+    }
+    return batches;
+  }
 
  private:
-  const size_t capacity_;
-  std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<GutterBatch> queue_;
-  bool closed_ = false;
-};
+  struct Staged {
+    PreparedCoord pc;
+    uint64_t route;
+    int32_t delta;
+    int32_t head;  // |e| - 1: the minimum endpoint's coefficient factor
+  };
 
-/// One reader thread's per-vertex buffers. Buffers are allocated lazily,
-/// so only vertices the reader's stream slice actually touches cost
-/// memory. The touched-vertex list makes the epoch flush proportional to
-/// the vertices touched, not to n -- and sorting it gives the
-/// deterministic flush-in-vertex-order barrier of DESIGN.md §11.
-class Gutters {
- public:
-  using FlushFn = std::function<void(VertexId, std::vector<VertexUpdate>&&)>;
-
-  /// `capacity`: entries per gutter before it auto-flushes to `flush`.
-  Gutters(size_t n, size_t capacity);
-
-  size_t capacity() const { return capacity_; }
-
-  /// Append one entry to v's gutter; hands the gutter to `flush` when it
-  /// reaches capacity.
-  void Append(VertexId v, const VertexUpdate& entry, const FlushFn& flush);
-
-  /// Epoch barrier: flush every non-empty gutter in INCREASING VERTEX
-  /// ORDER and reset the touched list. The driver calls this at the end of
-  /// each reader epoch (and once at end of slice), so batch hand-off order
-  /// within an epoch is a deterministic function of the stream slice.
-  void FlushEpoch(const FlushFn& flush);
-
- private:
-  size_t capacity_;
-  std::vector<std::vector<VertexUpdate>> buffers_;  // [v]; lazily reserved
-  std::vector<VertexId> touched_;                   // non-empty gutters
+  std::vector<Staged> updates_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> sort_scratch_;
 };
 
 }  // namespace gms

@@ -1,5 +1,7 @@
 #include "stream/ingest_plane.h"
 
+#include <algorithm>
+
 namespace gms {
 
 std::vector<VertexUpdate>& IngestPlane::RebuildScratch() {
@@ -9,30 +11,25 @@ std::vector<VertexUpdate>& IngestPlane::RebuildScratch() {
 
 void IngestPlane::Process(std::span<const StreamUpdate> updates) {
   if (consumers_.empty() || updates.empty()) return;
-  if (!gutters_.has_value()) {
-    gutters_.emplace(n_, kDefaultGutterCapacity);
-  }
-  const Gutters::FlushFn flush = [this](VertexId v,
-                                        std::vector<VertexUpdate>&& buf) {
-    ApplyUpdateBatch(/*thr_id=*/0, v,
-                     std::span<const VertexUpdate>(buf));
-  };
   const EdgeCodec& codec = *codec_;
-  for (const StreamUpdate& u : updates) {
-    GMS_CHECK_MSG(u.edge.size() <= codec.max_rank(),
-                  "hyperedge exceeds max_rank");
-    const uint64_t route = DriverRouteMask(u.edge);
-    if (route == 0) continue;  // no consumer wants it
-    const PreparedCoord pc = PrepareCoord(codec.Encode(u.edge));
-    const int64_t head = static_cast<int64_t>(u.edge.size()) - 1;
-    for (size_t pos = 0; pos < u.edge.size(); ++pos) {
-      // Section 4.1 incidence coefficients; the edge is sorted, so the
-      // minimum endpoint is position 0.
-      const int64_t coeff = (pos == 0 ? head : -1) * u.delta;
-      gutters_->Append(u.edge[pos], VertexUpdate{pc, route, coeff}, flush);
+  for (size_t begin = 0; begin < updates.size();
+       begin += kDefaultEpochUpdates) {
+    const std::span<const StreamUpdate> epoch = updates.subspan(
+        begin, std::min(kDefaultEpochUpdates, updates.size() - begin));
+    stage_.Clear(epoch.size(), codec.max_rank());
+    for (const StreamUpdate& u : epoch) {
+      GMS_CHECK_MSG(u.edge.size() <= codec.max_rank(),
+                    "hyperedge exceeds max_rank");
+      const uint64_t route = DriverRouteMask(u.edge);
+      if (route == 0) continue;  // no consumer wants it
+      stage_.Add(u.edge, PrepareCoord(codec.Encode(u.edge)), route, u.delta);
     }
+    stage_.Seal(n_);
+    stage_.ForEachBatch(0, n_, kDefaultGutterCapacity, &batch_,
+                        [this](VertexId v, std::span<const VertexUpdate> b) {
+                          ApplyUpdateBatch(/*thr_id=*/0, v, b);
+                        });
   }
-  gutters_->FlushEpoch(flush);
 }
 
 }  // namespace gms

@@ -45,13 +45,12 @@
 // The plane itself models the driver-sketch concept, so DriveStream /
 // DriveStreamRecords / DriveBinaryFileStream drive it unchanged for
 // parallel ingestion; Process() is the inline serial path (reader loop +
-// gutters + direct fan-out on the calling thread, safe inside parallel
-// regions).
+// gutter staging + direct fan-out on the calling thread, safe inside
+// parallel regions).
 #ifndef GMS_STREAM_INGEST_PLANE_H_
 #define GMS_STREAM_INGEST_PLANE_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -93,7 +92,6 @@ class IngestPlane {
     }
     if (bits == 0 || bits_used_ + bits > 64) return false;
     if (consumers_.empty()) {
-      if (n_ != sketch->n()) gutters_.reset();
       n_ = sketch->n();
       codec_ = &sketch->codec();
     } else if (sketch->n() != n_ ||
@@ -113,9 +111,8 @@ class IngestPlane {
     return true;
   }
 
-  /// Drop every registered consumer (the per-vertex gutter buffers survive
-  /// for reuse when the next consumer set has the same n). Call between
-  /// chunks when the consumer pointers change.
+  /// Drop every registered consumer (the staging buffers survive for
+  /// reuse). Call between chunks when the consumer pointers change.
   void Reset() {
     consumers_.clear();
     codec_ = nullptr;
@@ -162,9 +159,9 @@ class IngestPlane {
   bool DriverSupported() const { return true; }
 
   /// Inline serial ingest: the driver's reader logic (one encode +
-  /// PrepareCoord + packed route per update), per-vertex gutter
-  /// coalescing, and direct batch fan-out, all on the calling thread -- no
-  /// pool, no queues, safe inside a parallel region. Bit-identical to
+  /// PrepareCoord + packed route per update), per-epoch staging grouped by
+  /// vertex, and direct batch fan-out, all on the calling thread -- no
+  /// pool, no hand-off, safe inside a parallel region. Bit-identical to
   /// per-consumer serial ingest.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream) {
@@ -237,9 +234,10 @@ class IngestPlane {
   size_t bits_used_ = 0;
   std::vector<Consumer> consumers_;
   /// Reused across inline Process calls (the serving layer drives one
-  /// plane per epoch chunk; re-allocating n gutter vectors per chunk would
+  /// plane per epoch chunk; re-growing the buffers per chunk would
   /// dominate small chunks).
-  std::optional<Gutters> gutters_;
+  GutterStage stage_;
+  std::vector<VertexUpdate> batch_;
 };
 
 }  // namespace gms

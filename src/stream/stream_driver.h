@@ -1,25 +1,31 @@
 // The gutter driver: reader/applier-decoupled batched ingestion
 // (DESIGN.md §11; third parallelism axis, IngestMode::kGutterDriver).
 //
-// Readers and appliers split the work of one Process(span) call:
+// Readers and appliers split the work of one Process(span) call in
+// fixed-length epochs:
 //
-//   reader r owns stream slice ShardOf(|updates|, r, readers). It encodes
-//     and prepares each update ONCE (the codec rank, key fold, and
-//     exponent reduction are shape-independent), asks the sketch for the
-//     update's routing mask, and appends one compact VertexUpdate per
-//     endpoint into that endpoint's gutter (stream/gutters.h). A full
-//     gutter is pushed to the queue of the applier that owns the vertex;
-//     at the end of each fixed-length epoch the reader flushes every
-//     partial gutter in increasing vertex order (the deterministic
-//     flush barrier), which also bounds reader memory by the epoch
-//     length.
+//   reader r owns stream slice ShardOf(|updates|, r, readers). For each
+//     epoch of its slice it encodes and prepares every update ONCE (the
+//     codec rank, key fold, and exponent reduction are shape-independent),
+//     asks the sketch for the update's routing mask, stages one entry per
+//     endpoint (stream/gutters.h), and seals the stage -- a stable radix
+//     sort that groups the epoch's entries by destination vertex. It then
+//     publishes the stage and starts the next epoch into its second stage
+//     (double buffering: reading epoch k+1 overlaps applying epoch k, and
+//     reader memory stays bounded by two epochs).
 //
-//   applier a owns vertex range ShardOf(n, a, appliers). It drains its
-//     bounded queue and replays each batch over the vertex's contiguous
-//     sketch block via ApplyUpdateBatch -- the block (all rounds of one
-//     vertex) is kilobytes, so a batch of updates against it runs out of
-//     cache instead of paying a DRAM round-trip per update like the
+//   applier a owns vertex range ShardOf(n, a, appliers). Once every
+//     reader has published epoch k, it walks its vertex range in each
+//     reader's stage and replays every vertex's entries, in batches of at
+//     most gutter_capacity, over the vertex's contiguous sketch block via
+//     ApplyUpdateBatch -- the block (all rounds of one vertex) is
+//     kilobytes, so a batch of updates against it runs out of cache
+//     instead of paying a DRAM round-trip per update like the
 //     random-vertex column path does.
+//
+// The hand-off is one publication per (reader, epoch) and one completion
+// per (applier, epoch) under a single mutex: nothing is allocated per
+// vertex or synchronized per batch.
 //
 // Determinism: the final state is BIT-IDENTICAL to the serial per-update
 // path for every (readers, appliers) setting. Every cell is a sum over
@@ -27,9 +33,10 @@
 // canonical mod-(2^61-1) fingerprints), all commutative and associative
 // with no rounding, and the dirty/level summaries are monotone bitwise
 // ORs -- so no interleaving of batches can change a single output bit.
-// The vertex-order epoch flush additionally pins the hand-off order
-// itself, so even schedule-sensitive observables (queue traffic, stats
-// meters per epoch) are reproducible functions of the stream.
+// The hand-off order is itself fixed: an applier drains epoch k reader by
+// reader, each stage in increasing vertex order, so even
+// schedule-sensitive observables (the batches each applier sees, the
+// stats meters) are reproducible functions of the stream.
 //
 // Sketch concept (the unified mergeable-sketch API grows these members):
 //   size_t n() const;
@@ -48,10 +55,9 @@
 #define GMS_STREAM_STREAM_DRIVER_H_
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -64,23 +70,17 @@
 
 namespace gms {
 
-/// Default entries per gutter before it auto-flushes. 64 entries make a
-/// ~3.5 KiB batch: large enough to amortize one queue hand-off and to
-/// reuse the hot level-0 cells of the target column several times, small
-/// enough that per-reader buffer memory (n * capacity worst case) stays a
-/// few percent of the arena it feeds.
+/// Default entries per applied batch: a vertex's staged entries reach
+/// ApplyUpdateBatch in batches of at most this many. 64 entries make a
+/// ~4 KiB batch: large enough to reuse the hot level-0 cells of the target
+/// column several times, small enough to stay in L1 beside them.
 inline constexpr size_t kDefaultGutterCapacity = 64;
 
 /// Default reader epoch length, in stream updates. Larger epochs coalesce
 /// more updates per vertex (fewer column walks per update); the cap keeps
-/// a reader's resident buffered entries bounded by
-/// epoch * max_rank * sizeof(VertexUpdate) regardless of stream length.
+/// a reader's two stages bounded by
+/// 2 * epoch * (64 + 8 * max_rank) bytes regardless of stream length.
 inline constexpr size_t kDefaultEpochUpdates = 1 << 18;
-
-/// Default bound on queued batches per applier: enough to keep an applier
-/// busy across reader stalls, small enough for backpressure to bound
-/// in-flight memory.
-inline constexpr size_t kDefaultQueueCapacity = 256;
 
 struct GutterDriverParams {
   /// Applier threads; applier a exclusively owns ShardOf(n, a, appliers).
@@ -89,27 +89,27 @@ struct GutterDriverParams {
   size_t readers = 1;
   size_t gutter_capacity = kDefaultGutterCapacity;
   size_t epoch_updates = kDefaultEpochUpdates;
-  size_t queue_capacity = kDefaultQueueCapacity;
-  /// Test-only fault injection (testkit FaultHook): a flushed batch for
-  /// vertex v with `size` entries is dropped WHOLE when this returns true,
-  /// and DriverStats counts all `size` entries as lost -- simulating a
+  /// Test-only fault injection (testkit FaultHook): a batch for vertex v
+  /// with `size` entries is dropped WHOLE when this returns true, and
+  /// DriverStats counts all `size` entries as lost -- simulating a
   /// batch-granular decode failure on the apply path.
   std::function<bool(VertexId, size_t)> drop_batch;
-  /// Serving hook: invoked by a READER thread right after its deterministic
-  /// epoch flush, with (reader id, stream updates that reader has consumed
-  /// so far). This marks a reader-side boundary only -- the flushed batches
-  /// are queued, not yet applied -- so it is an observability / pacing
-  /// signal (the serving layer seals its own deltas; see src/serve/), not
-  /// an applied-prefix barrier. May fire concurrently on different readers.
+  /// Serving hook: invoked by a READER thread right after it publishes an
+  /// epoch's sealed stage, with (reader id, stream updates that reader has
+  /// consumed so far). This marks a reader-side boundary only -- the
+  /// staged entries are not yet applied -- so it is an observability /
+  /// pacing signal (the serving layer seals its own deltas; see
+  /// src/serve/), not an applied-prefix barrier. May fire concurrently on
+  /// different readers.
   std::function<void(size_t, uint64_t)> on_epoch;
 };
 
 /// Meters for one DriveStream call (summed over readers and appliers).
 struct DriverStats {
   uint64_t updates = 0;          // stream updates consumed by readers
-  uint64_t entries = 0;          // per-endpoint VertexUpdates buffered
-  uint64_t batches = 0;          // gutters handed to appliers
-  uint64_t epochs = 0;           // reader epoch flushes (incl. final partial)
+  uint64_t entries = 0;          // per-endpoint entries staged
+  uint64_t batches = 0;          // vertex batches appliers replayed/dropped
+  uint64_t epochs = 0;           // reader epochs staged (incl. final partial)
   uint64_t dropped_batches = 0;  // batches withheld by drop_batch
   uint64_t dropped_updates = 0;  // entries lost to dropped batches (N per
                                  // batch, never 1)
@@ -123,11 +123,6 @@ struct DriverStats {
     dropped_updates += o.dropped_updates;
   }
 };
-
-/// owner_of[v] = the applier whose ShardOf(n, a, appliers) range contains
-/// v (the ranges are floor-divided, so the closed-form inverse is
-/// off-by-one-prone; one O(n) fill per drive is noise).
-std::vector<uint32_t> BuildApplierOwnerMap(size_t n, size_t appliers);
 
 /// True when a Process(span) call should take the gutter-driver path:
 /// opted in and not already inside a parallel region (a nested call --
@@ -179,80 +174,98 @@ DriverStats DriveStreamRecords(Sketch* sketch, uint64_t num_updates,
   const size_t readers = std::max<size_t>(1, params.readers);
   const size_t gutter_cap =
       params.gutter_capacity != 0 ? params.gutter_capacity : size_t{1};
-  const size_t epoch = params.epoch_updates != 0
-                           ? params.epoch_updates
-                           : kDefaultEpochUpdates;
-  const size_t queue_cap =
-      params.queue_capacity != 0 ? params.queue_capacity : size_t{1};
+  const uint64_t epoch = params.epoch_updates != 0
+                             ? params.epoch_updates
+                             : kDefaultEpochUpdates;
   const EdgeCodec& codec = sketch->codec();
 
-  const std::vector<uint32_t> owner_of = BuildApplierOwnerMap(n, appliers);
+  // Every reader runs as many epochs as the longest slice needs, so epoch
+  // k is complete once every reader has published it (a shorter slice
+  // publishes an empty last stage).
+  const uint64_t longest_slice = (num_updates + readers - 1) / readers;
+  const uint64_t epochs = (longest_slice + epoch - 1) / epoch;
 
-  std::vector<std::unique_ptr<BatchQueue>> queues;
-  queues.reserve(appliers);
-  for (size_t a = 0; a < appliers; ++a) {
-    queues.push_back(std::make_unique<BatchQueue>(queue_cap));
-  }
-
-  std::atomic<size_t> readers_left{readers};
-  std::mutex stats_mu;
+  // Reader r stages epoch k into stages[2r + k % 2]; the slot is free
+  // again once every applier has drained epoch k - 2 from it.
+  std::vector<GutterStage> stages(2 * readers);
+  std::mutex mu;
+  std::condition_variable staged_cv;   // appliers wait for publications
+  std::condition_variable drained_cv;  // readers wait for free slots
+  std::vector<uint64_t> published(readers, 0);  // epochs reader r staged
+  std::vector<uint64_t> drained(appliers, 0);   // epochs applier a applied
 
   auto reader_loop = [&](size_t r) {
     DriverStats local;
     const ShardRange slice = ShardOf(num_updates, r, readers);
-    Gutters gutters(n, gutter_cap);
     StreamUpdate scratch;
-    const Gutters::FlushFn flush = [&](VertexId v,
-                                       std::vector<VertexUpdate>&& buf) {
-      ++local.batches;
-      queues[owner_of[v]]->Push(GutterBatch{v, std::move(buf)});
-    };
-    for (size_t begin = slice.begin; begin < slice.end; begin += epoch) {
-      const size_t end = std::min(slice.end, begin + epoch);
-      for (size_t j = begin; j < end; ++j) {
+    uint64_t begin = slice.begin;
+    for (uint64_t k = 0; k < epochs; ++k) {
+      if (k >= 2) {
+        std::unique_lock<std::mutex> lock(mu);
+        drained_cv.wait(lock, [&] {
+          return *std::min_element(drained.begin(), drained.end()) >= k - 1;
+        });
+      }
+      const uint64_t end = std::min<uint64_t>(slice.end, begin + epoch);
+      GutterStage& stage = stages[2 * r + (k & 1)];
+      stage.Clear(end - begin, codec.max_rank());
+      for (uint64_t j = begin; j < end; ++j) {
         const StreamUpdate& u = get(j, &scratch);
         GMS_CHECK_MSG(u.edge.size() <= codec.max_rank(),
                       "hyperedge exceeds max_rank");
-        ++local.updates;
         const uint64_t route = sketch->DriverRouteMask(u.edge);
         if (route == 0) continue;  // e.g. kept by no subsample
-        const PreparedCoord pc = PrepareCoord(codec.Encode(u.edge));
-        const int64_t head = static_cast<int64_t>(u.edge.size()) - 1;
-        for (size_t pos = 0; pos < u.edge.size(); ++pos) {
-          // Section 4.1 incidence coefficients; the edge is sorted, so the
-          // minimum endpoint is position 0.
-          const int64_t coeff = (pos == 0 ? head : -1) * u.delta;
-          ++local.entries;
-          gutters.Append(u.edge[pos], VertexUpdate{pc, route, coeff}, flush);
-        }
+        stage.Add(u.edge, PrepareCoord(codec.Encode(u.edge)), route,
+                  u.delta);
       }
-      gutters.FlushEpoch(flush);
-      ++local.epochs;
-      if (params.on_epoch) {
-        params.on_epoch(r, local.updates);
+      stage.Seal(n);
+      local.updates += end - begin;
+      local.entries += stage.entries();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        published[r] = k + 1;
       }
+      staged_cv.notify_all();
+      if (begin < end) {
+        ++local.epochs;
+        if (params.on_epoch) params.on_epoch(r, local.updates);
+      }
+      begin = end;
     }
-    if (readers_left.fetch_sub(1) == 1) {
-      for (auto& q : queues) q->Close();
-    }
-    std::lock_guard<std::mutex> lock(stats_mu);
+    std::lock_guard<std::mutex> lock(mu);
     total.Accumulate(local);
   };
 
   auto applier_loop = [&](size_t a) {
     DriverStats local;
-    GutterBatch batch;
-    while (queues[a]->Pop(&batch)) {
-      if (params.drop_batch &&
-          params.drop_batch(batch.vertex, batch.entries.size())) {
+    const ShardRange own = ShardOf(n, a, appliers);
+    std::vector<VertexUpdate> batch;
+    const auto apply = [&](VertexId v, std::span<const VertexUpdate> b) {
+      if (params.drop_batch && params.drop_batch(v, b.size())) {
         ++local.dropped_batches;
-        local.dropped_updates += batch.entries.size();
-        continue;
+        local.dropped_updates += b.size();
+        return;
       }
-      sketch->ApplyUpdateBatch(a, batch.vertex,
-                               std::span<const VertexUpdate>(batch.entries));
+      sketch->ApplyUpdateBatch(a, v, b);
+    };
+    for (uint64_t k = 0; k < epochs; ++k) {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        staged_cv.wait(lock, [&] {
+          return *std::min_element(published.begin(), published.end()) > k;
+        });
+      }
+      for (size_t r = 0; r < readers; ++r) {
+        local.batches += stages[2 * r + (k & 1)].ForEachBatch(
+            own.begin, own.end, gutter_cap, &batch, apply);
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        drained[a] = k + 1;
+      }
+      drained_cv.notify_all();
     }
-    std::lock_guard<std::mutex> lock(stats_mu);
+    std::lock_guard<std::mutex> lock(mu);
     total.Accumulate(local);
   };
 

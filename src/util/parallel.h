@@ -102,10 +102,11 @@ enum class IngestMode : uint8_t {
   /// for single-column sketches, at threads x the sketch's memory.
   kShardedMerge = 1,
   /// The gutter driver (stream/stream_driver.h): readers prepare updates
-  /// and coalesce them into per-vertex gutters; appliers own static vertex
-  /// shards and replay full gutters over each vertex's contiguous sketch
-  /// block. Converts the column path's random-vertex DRAM walk into
-  /// cache-resident batch replays; bit-identical to serial by linearity.
+  /// and stage each epoch grouped by destination vertex; appliers own
+  /// static vertex shards and replay each vertex's entries as batches over
+  /// its contiguous sketch block. Converts the column path's random-vertex
+  /// DRAM walk into cache-resident batch replays; bit-identical to serial
+  /// by linearity.
   kGutterDriver = 2,
 };
 
@@ -118,9 +119,9 @@ struct EngineParams {
   size_t threads = 1;
   IngestMode mode = IngestMode::kColumnSharded;
   /// kGutterDriver only: reader threads (0 = threads / 4, min 1) and
-  /// entries per gutter before auto-flush (0 = stream/stream_driver.h
-  /// default). Like threads/mode, pure execution policy: never on the
-  /// wire, never affects output bits.
+  /// entries per applied batch (0 = stream/stream_driver.h default). Like
+  /// threads/mode, pure execution policy: never on the wire, never affects
+  /// output bits.
   size_t driver_readers = 0;
   size_t driver_gutter_capacity = 0;
 

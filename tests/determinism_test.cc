@@ -13,6 +13,7 @@
 #include "graph/generators.h"
 #include "sparsify/sparsifier_sketch.h"
 #include "stream/stream.h"
+#include "stream/stream_driver.h"
 #include "testkit/stream_spec.h"
 #include "vertexconn/hyper_vc_query.h"
 #include "vertexconn/vc_query_sketch.h"
@@ -252,7 +253,7 @@ TEST(DeterminismTest, VcQuerySketchEndToEnd) {
 // families. Equality is checked at the strongest level available -- the
 // serialized wire frame, byte for byte -- so any divergence in cells, level
 // masks, or header metadata fails loudly. Under the `tsan` preset this is
-// also the driver's data-race test (reader queues, concurrent appliers,
+// also the driver's data-race test (epoch hand-off, concurrent appliers,
 // and the shared round-major dirty words all get exercised).
 // ---------------------------------------------------------------------------
 
@@ -262,8 +263,8 @@ constexpr testkit::Churn kDriverChurn[] = {testkit::Churn::kInsertOnly,
                                            testkit::Churn::kDeleteDown};
 
 // Engine running the gutter driver with an explicit reader/applier split
-// and a tiny gutter capacity so auto-flush (not just the final epoch
-// flush) fires even on test-sized streams.
+// and a tiny gutter capacity so a vertex's entries are cut into several
+// batches even on test-sized streams.
 EngineParams DriverEngine(size_t readers, size_t appliers) {
   return EngineParams::Builder()
       .Threads(appliers)
@@ -317,6 +318,69 @@ TEST(DeterminismTest, GutterDriverMatrixBitIdentical) {
         auto span = driver.ExtractSpanningGraph();
         ASSERT_TRUE(span.ok()) << where;
         EXPECT_TRUE(span.value() == serial_span.value()) << where;
+      }
+    }
+  }
+}
+
+// Streams longer than one reader epoch: with 7-update epochs every reader
+// double-buffers many stages, so readers run ahead into their second stage
+// while appliers drain the first, and slices of unequal length publish
+// empty last stages. Frames must still match serial byte for byte, and the
+// meters and the on_epoch hook must count exactly the epochs each slice
+// needs.
+TEST(DeterminismTest, GutterDriverMultiEpochBitIdentical) {
+  constexpr uint64_t kSeed = 103;
+  constexpr size_t kEpoch = 7;
+  testkit::StreamSpec spec;
+  spec.family = testkit::Family::kExpander;
+  spec.n = 72;
+  spec.k = 3;
+  spec.gseed = 13;
+  spec.churn = testkit::Churn::kWithChurn;
+  spec.decoys = 96;
+  spec.sseed = 23;
+  testkit::BuiltStream built = spec.Build();
+  const std::span<const StreamUpdate> updates(built.stream.updates());
+
+  const ForestSketchParams params =
+      ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
+  SpanningForestSketch serial(spec.n, /*max_rank=*/2, kSeed, params);
+  for (const auto& u : updates) serial.Update(u.edge, u.delta);
+  const std::vector<uint8_t> serial_frame = Frame(serial);
+
+  for (size_t readers : kDriverSplit) {
+    for (size_t appliers : kDriverSplit) {
+      const std::string where = "readers=" + std::to_string(readers) +
+                                " appliers=" + std::to_string(appliers);
+      uint64_t want_epochs = 0;
+      for (size_t r = 0; r < readers; ++r) {
+        const ShardRange slice = ShardOf(updates.size(), r, readers);
+        want_epochs += (slice.end - slice.begin + kEpoch - 1) / kEpoch;
+      }
+      std::vector<std::atomic<uint64_t>> consumed(readers);
+      std::atomic<uint64_t> hook_calls{0};
+      GutterDriverParams dp;
+      dp.readers = readers;
+      dp.appliers = appliers;
+      dp.gutter_capacity = 4;
+      dp.epoch_updates = kEpoch;
+      dp.on_epoch = [&](size_t r, uint64_t so_far) {
+        hook_calls.fetch_add(1);
+        consumed[r].store(so_far);
+      };
+      SpanningForestSketch driver(spec.n, 2, kSeed, params);
+      const DriverStats stats = DriveStream(&driver, updates, dp);
+      EXPECT_EQ(Frame(driver), serial_frame) << where;
+      EXPECT_EQ(stats.updates, updates.size()) << where;
+      EXPECT_EQ(stats.entries, 2 * updates.size()) << where;
+      EXPECT_EQ(stats.epochs, want_epochs) << where;
+      EXPECT_EQ(hook_calls.load(), want_epochs) << where;
+      EXPECT_GE(stats.batches, stats.entries / 4) << where;
+      EXPECT_EQ(stats.dropped_batches, 0u) << where;
+      for (size_t r = 0; r < readers; ++r) {
+        const ShardRange slice = ShardOf(updates.size(), r, readers);
+        EXPECT_EQ(consumed[r].load(), slice.end - slice.begin) << where;
       }
     }
   }
